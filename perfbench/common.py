@@ -7,9 +7,10 @@ self-tests in ``perfbench/tests`` run without the ``repro`` package:
   supports (at least ten samples beyond it);
 * an in-memory span tracer with parent links and per-operation group
   ids, plus the self-time accounting over a finished span tree;
-* open-loop load helpers: a seeded Poisson schedule, latency and lag
-  measured from each request's due time, the backlog test, and the
-  rate-ladder search behind ``http_max_rps``;
+* load helpers: the request plan with its fixed repeat share, a seeded
+  Poisson schedule, latency and lag measured from each request's due
+  time, the backlog test, and the rate-ladder search behind
+  ``http_max_rps``;
 * the host description recorded with every result.
 """
 
@@ -260,23 +261,68 @@ def attribute(spans, owners: dict, moved: dict) -> tuple[dict, float,
     return values, unattributed, concurrent_excess(spans)
 
 
-# -- open-loop load ----------------------------------------------------------
+def overdrawn(values: dict, moved: dict) -> list[str]:
+    """Metrics left below zero by ``moved``: a finer layer reported more
+    seconds than the spans they were moved out of hold."""
+    return [metric for metric in moved if values[metric] < 0]
+
+
+# -- load --------------------------------------------------------------------
 
 def poisson_schedule(rate: float, count: int, rng) -> list[float]:
     """Due offsets (s) of ``count`` Poisson arrivals at exactly ``rate``.
 
-    Exponential gaps are rescaled to sum to ``count / rate``: a Poisson
-    process conditioned on its count, so the offered rate is the ladder
-    rate on every seed and only the burst pattern varies.
+    The exponential gaps are drawn stratified (one from each of ``count``
+    equal-probability slices, in seeded order) and rescaled to sum to
+    ``count / rate``: a Poisson process conditioned on its count, so the
+    offered rate is the ladder rate on every seed, and so is the share
+    of short gaps that make requests overlap.  The seed varies only the
+    order of the bursts.
     """
+    import numpy as np
+
     if rate <= 0 or count < 1:
         raise ValueError("rate and count must be positive")
-    gaps = rng.exponential(1.0, size=count)
+    strata = (np.arange(count) + rng.random(count)) / count
+    gaps = -np.log1p(-strata[rng.permutation(count)])
     gaps *= (count / rate) / gaps.sum()
     due = [0.0]
     for gap in gaps[:-1]:
         due.append(due[-1] + float(gap))
     return due
+
+
+class RequestPlan:
+    """Which input each request sends, drawn from a seeded ``rng``.
+
+    Exactly one request in each run of ``every`` (at a seeded position)
+    repeats an input sent within the last ``window``, so every phase has
+    the same cache-hit share whatever the seed; the rest take fresh
+    inputs in order.
+    """
+
+    def __init__(self, rng, every: int, window: int):
+        self.rng, self.every, self.window = rng, every, window
+        self.fresh = 0
+        self.repeat_at = 0
+        self.history: list[int] = []      # input index of each request
+
+    def next(self, count: int) -> list[tuple[int, bool]]:
+        """(input index, is a repeat) for the next ``count`` requests."""
+        plan = []
+        for _ in range(count):
+            if len(self.history) % self.every == 0:
+                self.repeat_at = int(self.rng.integers(self.every))
+            if (self.history
+                    and len(self.history) % self.every == self.repeat_at):
+                window = self.history[-self.window:]
+                plan.append((window[int(self.rng.integers(len(window)))],
+                             True))
+            else:
+                plan.append((self.fresh, False))
+                self.fresh += 1
+            self.history.append(plan[-1][0])
+        return plan
 
 
 @dataclass

@@ -29,11 +29,16 @@ DESIGNS = ("diffeq1", "diffeq2", "raygentop", "SHA", "OR1200")
 #: seed varies the placements, not the designs.
 DESIGN_SEED = 0
 POOL_BATCH = 16
+#: The pool keeps the first candidates only, so its memory does not grow
+#: with how many passes a faster host fits into the run.
+POOL = 4 * POOL_BATCH
 REGIONS = ("overall", "upper", "lower", "right")
 SETUP_REPEATS = 3
 #: Share of the run spent annealing; the rest repeats the pool pass.
 LOOP_SHARE = 0.85
-SWEEP = 64
+#: Length of the datagen sweep's option cycle (alpha_t x inner_num x
+#: algorithm); a pass takes its first option of each inner_num.
+SWEEP = 60
 
 
 def _setup(seed: int):
@@ -66,8 +71,6 @@ class Explorer:
     """One run's candidates, their measurements and the forecast pool."""
 
     def __init__(self, contexts, model, seed: int, checks, tracer):
-        from repro.flows.datagen import sweep_placer_options
-
         self.contexts = contexts
         self.model = model
         self.checks = checks
@@ -75,12 +78,39 @@ class Explorer:
         # The seed sets the visiting order and the placer seeds.
         order = np.random.default_rng(seed).permutation(len(contexts))
         self.order = [int(i) for i in order]
-        self.options = sweep_placer_options(SWEEP, base_seed=seed * 1000)
+        self.seed = seed
         self.forecast_ms: list[float] = []
         self.route_ms: list[float] = []
         self.pool: list[tuple[int, np.ndarray, np.ndarray]] = []
         self.counts = dict.fromkeys(
             ("moves", "accepted", "iterations", "converged"), 0)
+
+    def pass_options(self, index: int) -> list:
+        """Pass ``index``'s options: one per inner_num, the same mix always.
+
+        inner_num scales the annealer's moves fifty-fold, so every pass
+        visits each value once (with the alpha_t and algorithm the sweep
+        pairs it with first) and only the placer seeds change.  Then
+        candidates per second measures the program, not which options a
+        run happened to reach.
+        """
+        from repro.flows.datagen import sweep_placer_options
+
+        first = {}
+        base_seed = self.seed * 1000 + index * SWEEP
+        for option in sweep_placer_options(SWEEP, base_seed=base_seed):
+            first.setdefault(option.inner_num, option)
+        return [first[key] for key in sorted(first)]
+
+    def one_pass(self, index: int) -> None:
+        """Every design with every option of pass ``index``."""
+        for option in self.pass_options(index):
+            for design in self.order:
+                try:
+                    self.candidate(design, option)
+                except Exception as error:      # noqa: BLE001 - counted
+                    self.checks.record(False,
+                                       f"candidate raised: {error!r}")
 
     def candidate(self, design: int, option) -> None:
         """Anneal with live forecasts, then route: one candidate."""
@@ -137,7 +167,8 @@ class Explorer:
         self.checks.record(_image_ok(truth, side), "truth image out of range")
         # The last snapshot is the final placement: the annealer moves
         # nothing after its last temperature's callback.
-        self.pool.append((design, last["x"], last["image"]))
+        if len(self.pool) < POOL:
+            self.pool.append((design, last["x"], last["image"]))
 
     def pool_pass(self) -> float:
         """Forecast the pool in batches of 16 and rank it; returns seconds."""
@@ -190,17 +221,15 @@ def run(ctx) -> dict:
     explorer = Explorer(contexts, model, ctx.seed, ctx.checks, tracer)
     start = time.perf_counter()
     with tracer.span("bench.explore") as root:
-        rounds = 0
-        # Whole rounds only, so every design is visited equally often.
-        while time.perf_counter() < start + LOOP_SHARE * ctx.seconds:
-            for design in explorer.order:
-                try:
-                    explorer.candidate(design,
-                                       explorer.options[rounds % SWEEP])
-                except Exception as error:      # noqa: BLE001 - counted
-                    ctx.checks.record(False, f"candidate raised: {error!r}")
-            rounds += 1
-        loop_s = time.perf_counter() - start
+        # Whole passes only, each with the same designs and options; a
+        # pass starts only if one more (at the mean pass time) fits.
+        passes = 0
+        while True:
+            explorer.one_pass(passes)
+            passes += 1
+            loop_s = time.perf_counter() - start
+            if loop_s * (passes + 1) / passes > LOOP_SHARE * ctx.seconds:
+                break
         pool_s = []
         while not pool_s or time.perf_counter() - start < ctx.seconds:
             pool_s.append(explorer.pool_pass())
@@ -258,7 +287,8 @@ def _trace_overhead(contexts, model, seed: int) -> float:
                                 Tracer() if traced else NullTracer())
             start = time.perf_counter()
             with explorer.tracer.span("bench.calibrate"):
-                explorer.candidate(explorer.order[0], explorer.options[0])
+                explorer.candidate(explorer.order[0],
+                                   explorer.pass_options(0)[0])
             walls[traced].append(time.perf_counter() - start)
             if traced:
                 profiler.detach()

@@ -2,7 +2,7 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload explore --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload explore --seed 1 --seconds 25 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with tracing off;
 ``--trace 1`` records spans around the benchmark's calls into each layer
@@ -26,8 +26,8 @@ import traceback
 from pathlib import Path
 
 from common import (Checks, Metric, NullTracer, Tracer, attribute,
-                    highest_supported, host_info, layer_table, peak_rss_mb,
-                    percentile, supports)
+                    highest_supported, host_info, layer_table, overdrawn,
+                    peak_rss_mb, percentile, supports)
 
 WORKLOADS = ("explore", "train", "serve")
 
@@ -106,15 +106,19 @@ def _end_to_end(result: dict, checks: Checks) -> dict[str, Metric]:
 def _per_layer(result: dict, ctx: Context) -> dict[str, float]:
     spans = ctx.tracer.spans
     table = layer_table(spans)
-    values, unattributed, concurrent = attribute(spans, OWNERS,
-                                                 result.get("moved", {}))
+    moved = result.get("moved", {})
+    values, unattributed, concurrent = attribute(spans, OWNERS, moved)
     root = result["root"]
-    moved = sum(result.get("moved", {}).values())
-    residual = (sum(values.values()) + moved + unattributed - concurrent
-                - root.duration)
+    residual = (sum(values.values()) + sum(moved.values()) + unattributed
+                - concurrent - root.duration)
     if abs(residual) > 1e-6 * max(1, len(spans)):
         ctx.checks.record(False, f"trace accounting off by "
                                  f"{residual:.6f}s: spans do not nest")
+    # The identity above holds whatever was moved; what can go wrong is a
+    # finer layer reporting more seconds than the spans it was moved from.
+    for metric in overdrawn(values, moved):
+        ctx.checks.record(False, f"{metric} is {values[metric]:.6f}s: more "
+                                 f"time moved out than its spans hold")
     layers = dict(values)
     for name in COUNTED:
         row = table.get(name, {"calls": 0, "busy_s": 0.0})

@@ -1,19 +1,22 @@
-"""``serve``: open-loop HTTP load against ``repro serve``.
+"""``serve``: HTTP load against ``repro serve``, closed loop then open.
 
-Set-up writes a checkpoint and starts ``python -m repro serve`` on it as
-its own process, with the CLI defaults.  This process is the only load
-generator: at most ``nproc`` keep-alive connections (2 on a 2-core
-host) send pre-encoded ``/v1/forecast`` bodies on a seeded Poisson
-schedule, stepping up a fixed ladder of rates.  A quarter of the
-requests repeat an input sent within the last 64 (well inside the
-server's 256-entry cache), standing in for annealer snapshots that
-barely move; the rest are fresh.  Latency is timed from each request's
-due time.
+Each of the three set-ups writes a checkpoint and starts ``python -m
+repro serve`` on it as its own process, with the CLI defaults, then
+measures a closed loop on it: blocks of requests back to back over one
+connection (``http_rtt_ms``), alternating with blocks over every
+connection (``http_capacity_rps``).  Taking both over many blocks on
+three server processes keeps them steady.  The last server then takes
+an open-loop ladder: pre-encoded bodies on a seeded Poisson schedule,
+over at most ``nproc`` keep-alive
+connections (2 on a 2-core host), at rising rates until one misses the
+latency limit (``http_p50_ms``, ``http_p90_ms``, ``http_max_rps``,
+latency timed from each request's due time).  One request in four
+repeats an input sent within the last 64 (well inside the server's
+256-entry cache), standing in for annealer snapshots that barely move;
+the rest are fresh.
 
 The HTTP layer's JSON parse and encode dominate, while engine batching,
 the forecast cache and batched nn eval all run; no fpga or train work.
-``BENCHMARK.json`` leaves this workload out of the gate: its figures
-moved too much between runs on a shared 2-core host (perfbench/README.md).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import statistics
 import subprocess
 import sys
@@ -30,21 +34,29 @@ import time
 
 import numpy as np
 
-from common import (Metric, NullTracer, Outcome, StepResult, Tracer,
-                    max_rate, percentile, poisson_schedule,
+from common import (Metric, NullTracer, Outcome, RequestPlan, StepResult,
+                    Tracer, max_rate, percentile, poisson_schedule,
                     process_peak_rss_mb, usable_cores)
 from explore import DESIGN_SEED, DESIGNS
 from nnlayers import group_seconds
 from opcount import count_for
 
 MODEL = "bench"
-#: Ladder of (offered rate in requests/s, requests): about 29 s of
+#: Closed loop on each server: ``BLOCKS`` pairs of ``BLOCK`` requests
+#: over one connection (``http_rtt_ms``), then over every connection
+#: (``http_capacity_rps``, the median over all such blocks).
+BLOCK = 30
+BLOCKS = 3
+CLOSED = BLOCK * BLOCKS
+#: Ladder of (offered rate in requests/s, requests): about 26 s of
 #: schedule.  The lowest rate's 100 requests give its reported p90 ten
 #: samples beyond it; the steps above only decide pass or miss.  The
 #: climb stops at the first miss.
-LADDER = ((6.0, 100), (10.0, 50), (15.0, 50), (22.0, 50), (33.0, 50))
+LADDER = ((6.0, 100), (10.0, 40), (15.0, 40), (22.0, 40), (33.0, 40))
 LIMIT_MS = 100.0
-REPEAT_SHARE = 0.25
+#: One request in every ``REPEAT_EVERY`` (at a seeded position) repeats
+#: an input sent within the last ``REPEAT_WINDOW``.
+REPEAT_EVERY = 4
 REPEAT_WINDOW = 64
 WARMUP = 8
 CALIBRATION = 20
@@ -89,8 +101,13 @@ class Server:
         return found["port"]
 
     def connect(self) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection("127.0.0.1", self.port,
+        """A keep-alive connection with Nagle off on the client's side,
+        as urllib3 (behind ``requests``) opens its sockets."""
+        conn = http.client.HTTPConnection("127.0.0.1", self.port,
                                           timeout=60)
+        conn.connect()
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return conn
 
     def post(self, conn, body: bytes) -> tuple[int, bytes]:
         conn.request("POST", "/v1/forecast", body=body,
@@ -177,37 +194,44 @@ def _setup(ctx, index: int, profile_out):
 
 
 class LoadGenerator:
-    """Open-loop ladder over a fixed connection count."""
+    """Closed-loop phases and the open-loop ladder, over keep-alive
+    connections to ``self.server``."""
 
-    def __init__(self, server, bodies, seed, tracer):
-        self.server, self.bodies = server, bodies
+    def __init__(self, bodies, seed, tracer):
+        self.server = None                # set to the server under load
+        self.bodies = bodies
         self.tracer = tracer
         self.rng = np.random.default_rng(seed)
         self.connections = max(1, min(2, usable_cores()))
-        self.fresh = 0
-        self.history: list[int] = []      # input index of each request sent
+        self.plan = RequestPlan(self.rng, REPEAT_EVERY, REPEAT_WINDOW).next
         self.records: list[dict] = []
 
-    def plan(self, count: int) -> list[tuple[int, bool]]:
-        """(input index, is a repeat) for the next ``count`` requests."""
-        plan = []
-        for _ in range(count):
-            if self.history and self.rng.random() < REPEAT_SHARE:
-                window = self.history[-REPEAT_WINDOW:]
-                plan.append((window[int(self.rng.integers(len(window)))],
-                             True))
-            else:
-                plan.append((self.fresh, False))
-                self.fresh += 1
-            self.history.append(plan[-1][0])
-        return plan
-
     def step(self, rate: float, count: int) -> StepResult:
+        """One open-loop ladder step: ``count`` requests at ``rate``."""
         plan = self.plan(count)
-        due = poisson_schedule(rate, count, self.rng)
+        records = self._send(plan, poisson_schedule(rate, count, self.rng))
+        return StepResult(rate, [Outcome(r["due"], r["sent"], r["done"], True)
+                                 for r in records])
+
+    def closed(self, count: int, connections: int) -> tuple[float, list]:
+        """Closed loop: each connection sends its next request as soon as
+        its last one is answered.  Returns (requests per second, records).
+        """
+        plan = self.plan(count)
+        start = time.perf_counter()
+        records = self._send(plan, None, connections)
+        return count / (time.perf_counter() - start), records
+
+    def _send(self, plan, due, connections=None) -> list[dict]:
+        """Send ``plan`` over the connections, at ``due`` offsets if given.
+
+        A closed-loop request (``due`` None) is due when it is sent.
+        """
+        count = len(plan)
         records = [None] * count
         cursor = iter(range(count))
         lock = threading.Lock()
+        first = len(self.records)
         with self.tracer.span("loadgen.step") as step_span:
             start = time.perf_counter() + 0.01
 
@@ -218,13 +242,14 @@ class LoadGenerator:
                         i = next(cursor, None)
                     if i is None:
                         break
-                    delay = start + due[i] - time.perf_counter()
-                    if delay > 0:
-                        time.sleep(delay)
+                    if due is not None:
+                        delay = start + due[i] - time.perf_counter()
+                        if delay > 0:
+                            time.sleep(delay)
                     sent = time.perf_counter()
                     try:
                         with self.tracer.span("serve.http.request",
-                                              group=len(self.records) + i,
+                                              group=first + i,
                                               parent=step_span):
                             status, data = self.server.post(
                                 conn, self.bodies[plan[i][0]])
@@ -232,21 +257,21 @@ class LoadGenerator:
                         status, data = 0, repr(error).encode()
                         conn.close()
                         conn = self.server.connect()
-                    records[i] = {"due": start + due[i], "sent": sent,
-                                  "done": time.perf_counter(),
-                                  "status": status, "data": data,
-                                  "input": plan[i][0], "repeat": plan[i][1]}
+                    records[i] = {
+                        "due": sent if due is None else start + due[i],
+                        "sent": sent, "done": time.perf_counter(),
+                        "status": status, "data": data,
+                        "input": plan[i][0], "repeat": plan[i][1]}
                 conn.close()
 
             threads = [threading.Thread(target=worker)
-                       for _ in range(self.connections)]
+                       for _ in range(connections or self.connections)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
         self.records.extend(records)
-        return StepResult(rate, [Outcome(r["due"], r["sent"], r["done"], True)
-                                 for r in records])
+        return records
 
 
 def _check(records, inputs, model, checks, tracer, references) -> None:
@@ -272,63 +297,88 @@ def _check(records, inputs, model, checks, tracer, references) -> None:
             record["ok"] = checks.record(ok, reason)
 
 
+def _warm(server, bodies) -> None:
+    conn = server.connect()
+    for body in bodies:
+        server.post(conn, body)
+    conn.close()
+
+
 def run(ctx) -> dict:
     tracer = ctx.tracer
     profile_out = ctx.work / "server-profile.json" if tracer.enabled else None
-    inputs = _inputs(ctx.seed, WARMUP + CALIBRATION
-                     + sum(count for _, count in LADDER))
+    requests = (2 * CLOSED * SETUP_REPEATS
+                + sum(count for _, count in LADDER))
+    # Only fresh requests take a new input: all but one in REPEAT_EVERY
+    # (the first run of REPEAT_EVERY may have no repeat).
+    fresh = requests - requests // REPEAT_EVERY + 1
+    inputs = _inputs(ctx.seed, WARMUP + CALIBRATION + fresh)
     warmup = [_body(x) for x in inputs[:WARMUP]]
     calibration = inputs[WARMUP:WARMUP + CALIBRATION]
-    ladder_inputs = inputs[WARMUP + CALIBRATION:]
-    bodies = [_body(x) for x in ladder_inputs]
+    load_inputs = inputs[WARMUP + CALIBRATION:]
+    bodies = [_body(x) for x in load_inputs]
 
-    setup_s = []
+    generator = LoadGenerator(bodies, ctx.seed, tracer)
+    result = {"setup_s": []}
+    sequential, capacity, steps, references = [], [], [], {}
     server = None
-    for index in range(SETUP_REPEATS):
-        if server is not None:
-            server.stop()
-        start = time.perf_counter()
-        model, server = _setup(ctx, index, profile_out)
-        conn = server.connect()
-        for body in warmup:
-            server.post(conn, body)
-        conn.close()
-        setup_s.append(time.perf_counter() - start)
-    result = {"setup_s": setup_s}
     try:
-        if tracer.enabled:
-            result["overhead_ratio"] = _trace_overhead(
-                ctx, server, calibration, warmup)
-        before = server.engine_stats()
-        generator = LoadGenerator(server, bodies, ctx.seed, tracer)
-        steps, references = [], {}
-        # A run shorter than the ladder's schedule sends fewer requests
-        # per step (too few for a p90 below 30 s: the run then fails).
-        schedule = sum(count / rate for rate, count in LADDER)
-        shrink = min(1.0, ctx.seconds / schedule)
         with tracer.span("bench.serve") as root:
+            # Each set-up starts a fresh server and measures the closed
+            # loop on it, so both gated figures are taken over several
+            # server processes; the last one then climbs the ladder.
+            for index in range(SETUP_REPEATS):
+                last = index == SETUP_REPEATS - 1
+                with tracer.span("bench.setup"):
+                    start = time.perf_counter()
+                    model, server = _setup(ctx, index, profile_out)
+                    _warm(server, warmup)
+                    result["setup_s"].append(time.perf_counter() - start)
+                    if last and tracer.enabled:
+                        result["overhead_ratio"] = _trace_overhead(
+                            ctx, server, calibration, warmup)
+                    before = server.engine_stats()
+                generator.server = server
+                for _ in range(BLOCKS):
+                    _, one = generator.closed(BLOCK, 1)
+                    rate, every = generator.closed(BLOCK,
+                                                   generator.connections)
+                    sequential += one
+                    capacity.append(rate)
+                    _check(one + every, load_inputs, model, ctx.checks,
+                           tracer, references)
+                if not last:
+                    server.stop()
             for rate, count in LADDER:
-                count = round(count * shrink)
                 step = generator.step(rate, count)
                 records = generator.records[-count:]
-                _check(records, ladder_inputs, model, ctx.checks, tracer,
+                _check(records, load_inputs, model, ctx.checks, tracer,
                        references)
                 for outcome, record in zip(step.outcomes, records):
                     outcome.ok = record["ok"]
                 steps.append(step)
                 if not step.passed(LIMIT_MS):
                     break
-        after = server.engine_stats()
-        server_peak = process_peak_rss_mb(server.process.pid)
+            after = server.engine_stats()
+            server_peak = process_peak_rss_mb(server.process.pid)
     finally:
-        server.stop()
+        if server is not None:
+            server.stop()
 
     lowest = [o.latency_ms for o in steps[0].outcomes]
     result.update(
-        latency=("http_ms", lowest),
-        throughput=("http_max_rps",
-                    Metric(max_rate(steps, LIMIT_MS), "1/s", len(steps))),
+        latency=("http_rtt_ms", [(r["done"] - r["sent"]) * 1e3
+                                 for r in sequential]),
+        throughput=("http_capacity_rps",
+                    Metric(statistics.median(capacity), "1/s",
+                           len(capacity))),
         extra={
+            "http_p50_ms": Metric(percentile(lowest, 50), "ms",
+                                  len(lowest)),
+            "http_p90_ms": Metric(percentile(lowest, 90), "ms",
+                                  len(lowest)),
+            "http_max_rps": Metric(max_rate(steps, LIMIT_MS), "1/s",
+                                   len(steps)),
             "server_peak_rss_mb": Metric(server_peak or 0.0, "MB"),
             **{f"step_{step.rate:g}rps_p90_ms": Metric(
                 step.p90_ms(), "ms", len(step.outcomes),
@@ -369,8 +419,10 @@ def run(ctx) -> dict:
         "loadgen.sent": len(records),
         "loadgen.ok": len(ok),
         "loadgen.failed": len(records) - len(ok),
+        # The closed-loop phases have no schedule to lag behind.
         "loadgen.lag_ms_p90": percentile(
-            [(r["sent"] - r["due"]) * 1e3 for r in records], 90),
+            [(r["sent"] - r["due"]) * 1e3
+             for r in records[2 * CLOSED * SETUP_REPEATS:]], 90),
         **{f"nn.{group}.self_s": seconds
            for group, seconds in nn_seconds.items()},
         **count_for(64, ctx.seed),

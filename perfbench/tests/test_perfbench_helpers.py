@@ -8,10 +8,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from common import (Outcome, Span, StepResult, Tracer, attribute,  # noqa: E402
-                    backlog_growing, concurrent_excess, highest_supported,
-                    layer_table, max_rate, percentile, poisson_schedule,
-                    self_times)
+from common import (Outcome, RequestPlan, Span, StepResult,  # noqa: E402
+                    Tracer, attribute, backlog_growing, concurrent_excess,
+                    highest_supported, layer_table, max_rate, overdrawn,
+                    percentile, poisson_schedule, self_times)
 
 
 @pytest.mark.parametrize("count, expected", [
@@ -41,6 +41,15 @@ def test_poisson_schedule_offers_exactly_the_rate():
     assert due[-1] < 100 / 20.0
     again = poisson_schedule(20.0, 100, np.random.default_rng(3))
     assert again == due
+
+
+def test_poisson_schedule_keeps_the_short_gap_share_across_seeds():
+    def short_gaps(seed):
+        due = poisson_schedule(6.0, 100, np.random.default_rng(seed))
+        return sum(b - a < 0.035 for a, b in zip(due, due[1:]))
+
+    counts = {short_gaps(seed) for seed in range(20)}
+    assert max(counts) - min(counts) <= 2
 
 
 def test_backlog_growth_is_detected():
@@ -113,6 +122,24 @@ def test_attribute_closes_the_accounting():
     assert unattributed == pytest.approx(3.0)
     assert sum(values.values()) + 0.5 + unattributed - concurrent == (
         pytest.approx(10.0))
+
+
+def test_attribution_that_moves_too_much_is_overdrawn():
+    moved = {"layer.leaf": 1.5, "layer.a": 0.5}
+    values, _, _ = attribute(
+        _tree(), {"a": "layer.a", "leaf": "layer.leaf", "b": "layer.a"},
+        moved)
+    assert overdrawn(values, moved) == ["layer.leaf"]
+    assert overdrawn(values, {"layer.a": 0.5}) == []
+
+
+def test_request_plan_repeats_a_fixed_share():
+    plan = RequestPlan(np.random.default_rng(5), 4, 64).next(400)
+    for first in range(4, 400, 4):
+        assert sum(repeat for _, repeat in plan[first:first + 4]) == 1
+    for index, (item, repeat) in enumerate(plan):
+        earlier = [i for i, _ in plan[max(0, index - 64):index]]
+        assert (item in earlier) if repeat else (item not in earlier)
 
 
 def test_tracer_links_parents_and_inherits_groups():
