@@ -2,12 +2,12 @@
 
 Each of the three set-ups writes a checkpoint and starts ``python -m
 repro serve`` on it as its own process, with the CLI defaults, then
-measures a closed loop on it: blocks of requests back to back over one
-connection (``http_rtt_ms``), alternating with blocks over every
-connection (``http_capacity_rps``).  Taking both over many blocks on
-three server processes keeps them steady.  The last server then takes
-an open-loop ladder: pre-encoded bodies on a seeded Poisson schedule,
-over at most ``nproc`` keep-alive
+measures a closed loop on it: one caller sending requests back to back
+over one keep-alive connection, as an annealer calling the service
+would (``http_rtt_ms`` per request, ``http_caller_rps`` per block).
+Taking both over many blocks on three server processes keeps them
+steady.  The last server then takes an open-loop ladder: pre-encoded
+bodies on a seeded Poisson schedule, over at most ``nproc`` keep-alive
 connections (2 on a 2-core host), at rising rates until one misses the
 latency limit (``http_p50_ms``, ``http_p90_ms``, ``http_max_rps``,
 latency timed from each request's due time).  One request in four
@@ -42,11 +42,11 @@ from nnlayers import group_seconds
 from opcount import count_for
 
 MODEL = "bench"
-#: Closed loop on each server: ``BLOCKS`` pairs of ``BLOCK`` requests
-#: over one connection (``http_rtt_ms``), then over every connection
-#: (``http_capacity_rps``, the median over all such blocks).
+#: Closed loop on each server: ``BLOCKS`` blocks of ``BLOCK`` requests
+#: back to back over one connection.  ``http_rtt_ms`` pools every round
+#: trip; ``http_caller_rps`` is the median rate over all blocks.
 BLOCK = 30
-BLOCKS = 3
+BLOCKS = 5
 CLOSED = BLOCK * BLOCKS
 #: Ladder of (offered rate in requests/s, requests): about 26 s of
 #: schedule.  The lowest rate's 100 requests give its reported p90 ten
@@ -213,13 +213,13 @@ class LoadGenerator:
         return StepResult(rate, [Outcome(r["due"], r["sent"], r["done"], True)
                                  for r in records])
 
-    def closed(self, count: int, connections: int) -> tuple[float, list]:
-        """Closed loop: each connection sends its next request as soon as
-        its last one is answered.  Returns (requests per second, records).
-        """
+    def closed(self, count: int) -> tuple[float, list]:
+        """Closed loop over one connection: each request is sent as soon
+        as the last one is answered.  Returns (requests per second,
+        records)."""
         plan = self.plan(count)
         start = time.perf_counter()
-        records = self._send(plan, None, connections)
+        records = self._send(plan, None, 1)
         return count / (time.perf_counter() - start), records
 
     def _send(self, plan, due, connections=None) -> list[dict]:
@@ -307,7 +307,7 @@ def _warm(server, bodies) -> None:
 def run(ctx) -> dict:
     tracer = ctx.tracer
     profile_out = ctx.work / "server-profile.json" if tracer.enabled else None
-    requests = (2 * CLOSED * SETUP_REPEATS
+    requests = (CLOSED * SETUP_REPEATS
                 + sum(count for _, count in LADDER))
     # Only fresh requests take a new input: all but one in REPEAT_EVERY
     # (the first run of REPEAT_EVERY may have no repeat).
@@ -320,7 +320,7 @@ def run(ctx) -> dict:
 
     generator = LoadGenerator(bodies, ctx.seed, tracer)
     result = {"setup_s": []}
-    sequential, capacity, steps, references = [], [], [], {}
+    sequential, rates, steps, references = [], [], [], {}
     server = None
     try:
         with tracer.span("bench.serve") as root:
@@ -340,13 +340,11 @@ def run(ctx) -> dict:
                     before = server.engine_stats()
                 generator.server = server
                 for _ in range(BLOCKS):
-                    _, one = generator.closed(BLOCK, 1)
-                    rate, every = generator.closed(BLOCK,
-                                                   generator.connections)
-                    sequential += one
-                    capacity.append(rate)
-                    _check(one + every, load_inputs, model, ctx.checks,
-                           tracer, references)
+                    rate, block = generator.closed(BLOCK)
+                    sequential += block
+                    rates.append(rate)
+                    _check(block, load_inputs, model, ctx.checks, tracer,
+                           references)
                 if not last:
                     server.stop()
             for rate, count in LADDER:
@@ -369,9 +367,8 @@ def run(ctx) -> dict:
     result.update(
         latency=("http_rtt_ms", [(r["done"] - r["sent"]) * 1e3
                                  for r in sequential]),
-        throughput=("http_capacity_rps",
-                    Metric(statistics.median(capacity), "1/s",
-                           len(capacity))),
+        throughput=("http_caller_rps",
+                    Metric(statistics.median(rates), "1/s", len(rates))),
         extra={
             "http_p50_ms": Metric(percentile(lowest, 50), "ms",
                                   len(lowest)),
@@ -422,7 +419,7 @@ def run(ctx) -> dict:
         # The closed-loop phases have no schedule to lag behind.
         "loadgen.lag_ms_p90": percentile(
             [(r["sent"] - r["due"]) * 1e3
-             for r in records[2 * CLOSED * SETUP_REPEATS:]], 90),
+             for r in records[CLOSED * SETUP_REPEATS:]], 90),
         **{f"nn.{group}.self_s": seconds
            for group, seconds in nn_seconds.items()},
         **count_for(64, ctx.seed),
