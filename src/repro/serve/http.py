@@ -21,7 +21,8 @@ Endpoints:
   plus either ``input`` (a nested ``(C, H, W)`` list in [-1, 1]) or
   ``place_image`` (``(H, W, 3)`` in [0, 1]) with ``connect_image``
   (``(H, W)`` in [0, 1]) and optional ``connect_weight``; the response
-  carries the forecast image as nested ``(H, W, 3)`` lists in [0, 1].
+  carries the forecast image as nested ``(H, W, 3)`` lists in [0, 1],
+  written by :func:`float32_to_json` (exact after a float32 cast).
 
 With ``obs_dir`` set, the server also runs a
 :class:`~repro.obs.publish.TelemetryPublisher` — its registry snapshot
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -68,6 +70,68 @@ class ApiError(Exception):
         super().__init__(message)
         self.status = status
         self.headers = dict(headers) if headers else {}
+
+
+#: Width of one encoded value: sign (or space), ``d.dddddddd``, ``e``,
+#: exponent sign, two exponent digits (float32 exponents span -45..38).
+_CELL = 15
+
+#: ``10.0 ** (8 - e)`` at index ``e + 45``: scales a value with decimal
+#: exponent ``e`` to a 9-digit integer mantissa.
+_SCALES = 10.0 ** np.arange(53, -31, -1)
+
+
+def float32_to_json(array: np.ndarray) -> bytes:
+    """Encode ``array`` as float32 in nested JSON lists, vectorised.
+
+    Each value is a fixed-width 9-significant-digit literal such as
+    `` 5.01960814e-01``.  Nine digits lie within 5e-9 relative of the
+    value, well inside float32's smallest half-ulp (about 3e-8), so
+    ``np.asarray(json.loads(data), dtype=np.float32)`` is bitwise equal to
+    the input.  NaN and +-Inf are written as the ``NaN`` / ``Infinity`` /
+    ``-Infinity`` tokens ``json.dumps`` emits.
+    """
+    a = np.asarray(array, dtype=np.float32)
+    flat = a.ravel().astype(np.float64)
+    mag = np.abs(np.where(np.isfinite(flat), flat, 0.0))
+    nonzero = mag > 0
+    exp = np.zeros(flat.size, np.int64)
+    exp[nonzero] = np.floor(np.log10(mag[nonzero]))
+    digits = np.rint(mag * _SCALES[exp + 45])
+    fix = (digits >= 1e9).astype(np.int64) - (nonzero & (digits < 1e8))
+    if fix.any():           # log10 or the rounding crossed a decade
+        exp += fix
+        digits = np.rint(mag * _SCALES[exp + 45])
+    # One row per value: the cell, then a "," separator.
+    out = np.empty((flat.size, _CELL + 1), np.uint8)
+    out[:, 0] = np.where(np.signbit(flat), ord("-"), ord(" "))
+    out[:, 2] = ord(".")
+    mantissa = digits.astype(np.uint32)     # < 1e9; scalar // is fast
+    for column in (10, 9, 8, 7, 6, 5, 4, 3, 1):
+        quotient = mantissa // 10
+        out[:, column] = mantissa - quotient * 10 + ord("0")
+        mantissa = quotient
+    out[:, 11] = ord("e")
+    out[:, 12] = np.where(exp < 0, ord("-"), ord("+"))
+    magnitude = np.abs(exp).astype(np.uint8)
+    out[:, 13] = magnitude // 10 + ord("0")
+    out[:, 14] = magnitude % 10 + ord("0")
+    out[:, 15] = ord(",")
+    for token, mask in ((b"NaN", np.isnan(flat)),
+                        (b"Infinity", flat == np.inf),
+                        (b"-Infinity", flat == -np.inf)):
+        out[mask, :_CELL] = np.frombuffer(token.rjust(_CELL), np.uint8)
+    # Innermost axis first: "[" + the rows, whose last "," becomes "]",
+    # + a "," that separates this row from the next one up.
+    for axis in range(a.ndim - 1, -1, -1):
+        groups, count = math.prod(a.shape[:axis]), a.shape[axis]
+        width = count * out.shape[1]
+        rows = np.empty((groups, width + 2 + (count == 0)), np.uint8)
+        rows[:, 0] = ord("[")
+        rows[:, 1:1 + width] = out.reshape(groups, width)
+        rows[:, -2:] = np.frombuffer(b"],", np.uint8)
+        out = rows
+    return out.tobytes()[:-1]
 
 
 def _parse_forecast_body(body: dict) -> tuple[str, np.ndarray]:
@@ -117,9 +181,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, payload: dict,
                    headers: dict | None = None) -> None:
-        data = json.dumps(payload).encode()
+        self._send(status, json.dumps(payload).encode(), "application/json",
+                   headers)
+
+    def _send(self, status: int, data: bytes, content_type: str,
+              headers: dict | None = None) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         for name, value in (headers or {}).items():
             self.send_header(name, str(value))
@@ -129,14 +197,6 @@ class _Handler(BaseHTTPRequestHandler):
             # parsed as the next request.
             self.send_header("Connection", "close")
             self.close_connection = True
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
 
@@ -187,9 +247,9 @@ class _Handler(BaseHTTPRequestHandler):
                         "http": self.api.http_stats(),
                     })
                 else:
-                    self._send_text(
-                        200, self.api.engine.metrics.render_prometheus(),
-                        PROMETHEUS_CONTENT_TYPE)
+                    self._send(
+                        200, self.api.engine.metrics.render_prometheus()
+                        .encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
             else:
                 raise ApiError(404, f"no such route: {self.path}")
         except ApiError as error:
@@ -201,15 +261,22 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path != "/v1/forecast":
                 raise ApiError(404, f"no such route: {self.path}")
             self._count("/v1/forecast")
-            length = int(self.headers.get("Content-Length", 0))
+            try:
+                length = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                raise ApiError(400, "Content-Length is not an integer") \
+                    from None
             if length <= 0:
                 raise ApiError(400, "missing request body")
             if length > MAX_BODY_BYTES:
                 raise ApiError(413, "request body too large")
             try:
                 body = json.loads(self.rfile.read(length))
-            except json.JSONDecodeError as error:
+            except ValueError as error:     # also a non-UTF-8 body
                 raise ApiError(400, f"invalid JSON: {error}") from None
+            except RecursionError:
+                raise ApiError(400, "invalid JSON: nested too deeply") \
+                    from None
             model_id, x = _parse_forecast_body(body)
             engine = self.api.engine
             try:
@@ -234,13 +301,15 @@ class _Handler(BaseHTTPRequestHandler):
                 headers = ({"Retry-After": f"{retry_after:.3f}"}
                            if retry_after is not None else None)
                 raise ApiError(503, str(error), headers=headers) from None
-            self._send_json(200, {
+            head = json.dumps({
                 "model": result.model_id,
                 "shape": list(result.image.shape),
-                "forecast": result.image.tolist(),
                 "cached": result.cached,
                 "latency_ms": result.latency_seconds * 1e3,
             })
+            self._send(200, head[:-1].encode() + b', "forecast": '
+                       + float32_to_json(result.image) + b"}",
+                       "application/json")
         except ApiError as error:
             self._send_json(error.status, {"error": str(error)},
                             headers=error.headers)

@@ -1,9 +1,12 @@
 """Cross-module property tests (hypothesis) and algorithmic cross-checks."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.config import SMOKE
 from repro.fpga import (
@@ -16,6 +19,7 @@ from repro.fpga import (
 )
 from repro.fpga.arch import FpgaArchitecture
 from repro.fpga.generators import minimum_architecture_size
+from repro.serve.http import float32_to_json
 from repro.viz import FloorplanLayout, minimum_image_size
 
 
@@ -158,3 +162,22 @@ class TestPipelineDeterminism:
             np.testing.assert_array_equal(sample_a.x, sample_b.x)
             np.testing.assert_array_equal(sample_a.y, sample_b.y)
             assert sample_a.true_congestion == sample_b.true_congestion
+
+
+class TestFloat32JsonProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(values=hnp.arrays(
+        np.float32, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                     max_side=6),
+        elements=st.floats(width=32)))
+    def test_decodes_like_json_dumps(self, values):
+        """Any float32 array decodes to the same float32 array as
+        ``json.dumps(tolist())`` does: bitwise, NaNs in place."""
+        ours = np.asarray(json.loads(float32_to_json(values)), np.float32)
+        reference = np.asarray(json.loads(json.dumps(values.tolist())),
+                               np.float32)
+        assert ours.shape == reference.shape
+        nan = np.isnan(reference)
+        np.testing.assert_array_equal(np.isnan(ours), nan)
+        np.testing.assert_array_equal(ours[~nan].view(np.uint32),
+                                      reference[~nan].view(np.uint32))

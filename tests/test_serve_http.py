@@ -1,6 +1,9 @@
 """HTTP API + client round-trips on an ephemeral port."""
 
+import json
+import socket
 import threading
+import urllib.request
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from repro.serve import (
     ForecastServer,
     ModelRegistry,
 )
+from repro.serve.http import float32_to_json
 
 
 @pytest.fixture()
@@ -56,8 +60,8 @@ class TestEndpoints:
         assert reply.forecast.shape == (16, 16, 3)
         assert reply.cached is False
         assert reply.latency_ms > 0
-        # JSON round-trips float32 exactly (decimal repr is exact for
-        # binary floats), so even over HTTP the forecast is bitwise.
+        # The 9-digit literals are exact after a float32 cast, so even
+        # over HTTP the forecast is bitwise.
         np.testing.assert_array_equal(reply.forecast,
                                       tiny_model.forecast(x))
 
@@ -112,6 +116,100 @@ class TestEndpoints:
                 reply.forecast, tiny_model.forecast(xs[index]))
 
 
+def _strict_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name!r}")
+
+
+def _decode(data: bytes) -> np.ndarray:
+    return np.asarray(json.loads(data), dtype=np.float32)
+
+
+def _assert_bitwise(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint32),
+                                  expected.view(np.uint32))
+
+
+class TestFloat32Json:
+    def test_fixed_width_nine_digit_cells(self):
+        assert float32_to_json(np.float32(128 / 255)) == b" 5.01960814e-01"
+        assert float32_to_json(np.array([-2.5, 0.0], np.float32)) == (
+            b"[-2.50000000e+00, 0.00000000e+00]")
+        # "[" + 4 rows of "[" + 5 cells of 15 + 5 separators, each row
+        # followed by its own separator (the last one being "]").
+        assert len(float32_to_json(np.ones((4, 5), np.float32))) == (
+            1 + 4 * (1 + 5 * 16 + 1))
+
+    def test_unit_interval_sweep_roundtrips_bitwise(self):
+        """A strided sweep over every finite bit pattern in [0, 1]."""
+        bits = np.arange(0, 0x3F800001, 2039, dtype=np.uint32)
+        bits = np.append(bits, np.uint32(0x3F800000))   # 1.0 itself
+        values = bits.view(np.float32)
+        _assert_bitwise(_decode(float32_to_json(values)), values)
+
+    def test_random_bit_patterns_roundtrip_bitwise(self):
+        rng = np.random.default_rng(12)
+        bits = rng.integers(0, 1 << 32, size=200_000,
+                            dtype=np.uint64).astype(np.uint32)
+        values = bits.view(np.float32)
+        max32 = np.finfo(np.float32).max
+        special = np.array([0.0, -0.0, max32, -max32, 1e-45, -1e-45,
+                            np.finfo(np.float32).tiny,
+                            np.finfo(np.float32).smallest_subnormal * 3],
+                           np.float32)
+        values = np.concatenate([special, values[np.isfinite(values)]])
+        _assert_bitwise(_decode(float32_to_json(values)), values)
+
+    def test_non_finite_cells_match_json_dumps_tokens(self):
+        values = np.array([[np.nan, np.inf], [-np.inf, 0.25]], np.float32)
+        ours = json.loads(float32_to_json(values))
+        reference = json.loads(json.dumps(values.tolist()))
+        assert np.isnan(ours[0][0]) and np.isnan(reference[0][0])
+        assert ours[0][1:] == reference[0][1:] == [float("inf")]
+        assert ours[1] == reference[1] == [float("-inf"), 0.25]
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 0, 3), (0, 3), (5,),
+                                       (3, 4), (2, 3, 4)])
+    def test_shapes_decode_like_json_dumps(self, shape):
+        values = np.random.default_rng(13).normal(
+            size=shape).astype(np.float32)
+        ours = json.loads(float32_to_json(values))
+        reference = json.loads(json.dumps(values.tolist()))
+        _assert_bitwise(np.asarray(ours, np.float32),
+                        np.asarray(reference, np.float32))
+        if values.size == 0:
+            assert ours == reference
+
+
+class TestWireFormat:
+    def test_finite_forecast_response_is_strict_json(self, server):
+        x = np.random.default_rng(8).normal(
+            size=(4, 16, 16)).astype(np.float32)
+        body = json.dumps({"model": "tiny", "input": x.tolist()}).encode()
+        request = urllib.request.Request(
+            server.url + "/v1/forecast", data=body,
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=10) as response:
+            assert response.headers["Content-Type"] == "application/json"
+            reply = json.loads(response.read(),
+                               parse_constant=_strict_constant)
+        assert reply["model"] == "tiny"
+        assert reply["shape"] == [16, 16, 3]
+        assert reply["cached"] is False
+        assert np.asarray(reply["forecast"]).shape == (16, 16, 3)
+
+    def test_client_forecast_bitwise_fresh_and_cached(self, client,
+                                                     tiny_model):
+        x = np.random.default_rng(9).normal(
+            size=(4, 16, 16)).astype(np.float32)
+        expected = tiny_model.forecast(x)
+        fresh = client.forecast("tiny", x=x)
+        cached = client.forecast("tiny", x=x)
+        assert (fresh.cached, cached.cached) == (False, True)
+        _assert_bitwise(fresh.forecast, expected)
+        _assert_bitwise(cached.forecast, expected)
+
+
 class TestErrors:
     def test_unknown_model_404(self, client):
         with pytest.raises(ClientError) as excinfo:
@@ -138,6 +236,47 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+    @staticmethod
+    def _raw_post(port: int, head: bytes, body: bytes) -> tuple[int, dict]:
+        """POST over a raw socket; the error reply closes the connection."""
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /v1/forecast HTTP/1.1\r\n"
+                         b"Host: localhost\r\n" + head + b"\r\n" + body)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        response = b"".join(chunks)
+        assert response, "connection dropped with no HTTP response"
+        status_line, _, rest = response.partition(b"\r\n")
+        return (int(status_line.split()[1]),
+                json.loads(rest.partition(b"\r\n\r\n")[2]))
+
+    def test_non_integer_content_length_400(self, server, capsys):
+        status, reply = self._raw_post(
+            server.port, b"Content-Length: twelve\r\n", b"{}")
+        assert status == 400
+        assert "Content-Length" in reply["error"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_utf8_body_400(self, server, capsys):
+        body = b'{"model": "\xff\xfe"}'
+        status, reply = self._raw_post(
+            server.port, b"Content-Length: %d\r\n" % len(body), body)
+        assert status == 400
+        assert "invalid JSON" in reply["error"]
+        assert "utf-8" in reply["error"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_deeply_nested_json_400(self, server, client, capsys):
+        body = b"[" * 100_000
+        status, reply = self._raw_post(
+            server.port, b"Content-Length: %d\r\n" % len(body), body)
+        assert status == 400
+        assert "nested too deeply" in reply["error"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert client.healthz()["status"] == "ok"
 
     def test_missing_input_400(self, client):
         with pytest.raises(ClientError) as excinfo:
