@@ -23,6 +23,9 @@ Endpoints:
   (``(H, W)`` in [0, 1]) and optional ``connect_weight``; the response
   carries the forecast image as nested ``(H, W, 3)`` lists in [0, 1],
   written by :func:`float32_to_json` (exact after a float32 cast).
+  A NaN, ``Infinity`` or ``null`` cell in any input array, or a
+  non-finite ``connect_weight``, is a 400 naming the field; a forecast
+  that comes back non-finite is a 500, never a 200 full of NaN.
 
 With ``obs_dir`` set, the server also runs a
 :class:`~repro.obs.publish.TelemetryPublisher` — its registry snapshot
@@ -134,6 +137,19 @@ def float32_to_json(array: np.ndarray) -> bytes:
     return out.tobytes()[:-1]
 
 
+def _finite_array(body: dict, field: str) -> np.ndarray:
+    """``body[field]`` as float32, refusing NaN/Infinity/null cells.
+
+    ``null`` casts to NaN, and a finite literal beyond float32 range to
+    ±inf, so one check after the cast catches all of them.
+    """
+    value = np.asarray(body[field], dtype=np.float32)
+    if not np.isfinite(value).all():
+        raise ApiError(400, f"'{field}' holds non-finite values "
+                            f"(NaN, Infinity or null)")
+    return value
+
+
 def _parse_forecast_body(body: dict) -> tuple[str, np.ndarray]:
     """Extract (model_id, input array) from a ``/v1/forecast`` payload."""
     if not isinstance(body, dict):
@@ -149,16 +165,18 @@ def _parse_forecast_body(body: dict) -> tuple[str, np.ndarray]:
                  "'place_image' + 'connect_image'")
     try:
         if has_input:
-            x = np.asarray(body["input"], dtype=np.float32)
+            x = _finite_array(body, "input")
             if x.ndim != 3:
                 raise ApiError(
                     400, f"'input' must be (C, H, W), got shape {x.shape}")
         else:
             if "connect_image" not in body:
                 raise ApiError(400, "'place_image' requires 'connect_image'")
-            place = np.asarray(body["place_image"], dtype=np.float32)
-            connect = np.asarray(body["connect_image"], dtype=np.float32)
+            place = _finite_array(body, "place_image")
+            connect = _finite_array(body, "connect_image")
             weight = float(body.get("connect_weight", 0.1))
+            if not math.isfinite(weight):
+                raise ApiError(400, "'connect_weight' must be finite")
             x = make_input_stack(place, connect, weight)
     except ApiError:
         raise
@@ -301,6 +319,9 @@ class _Handler(BaseHTTPRequestHandler):
                 headers = ({"Retry-After": f"{retry_after:.3f}"}
                            if retry_after is not None else None)
                 raise ApiError(503, str(error), headers=headers) from None
+            if not np.isfinite(result.image).all():
+                raise ApiError(500, f"model {result.model_id!r} produced "
+                                    f"a non-finite forecast")
             head = json.dumps({
                 "model": result.model_id,
                 "shape": list(result.image.shape),

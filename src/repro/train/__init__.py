@@ -33,6 +33,7 @@ _LAZY = {
     "StopTraining": ("repro.train.loop", "StopTraining"),
     "Runner": ("repro.train.runner", "Runner"),
     "RunResult": ("repro.train.runner", "RunResult"),
+    "NonFiniteError": ("repro.train.runner", "NonFiniteError"),
     "TrainCursor": ("repro.train.checkpoint", "TrainCursor"),
     "save_train_state": ("repro.train.checkpoint", "save_train_state"),
     "load_train_state": ("repro.train.checkpoint", "load_train_state"),

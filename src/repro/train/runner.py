@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -73,6 +74,16 @@ from repro.train.status import (
 CHECKPOINT_DIR = "checkpoints"
 EXPORT_DIR = "export"
 LATEST_NAME = "latest.json"
+
+
+class NonFiniteError(RuntimeError):
+    """Training produced a NaN or infinite loss or weight.
+
+    The run stops before the bad step is logged, or the bad weights are
+    checkpointed or exported: ``status.json`` reads ``failed`` with the
+    reason, and ``checkpoints/latest.json`` still names the last good
+    checkpoint.
+    """
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -205,8 +216,12 @@ class Runner:
         if not spec_path.exists():
             raise FileNotFoundError(f"{run_dir} is not a run directory "
                                     f"(no {SPEC_NAME})")
-        spec = TrainSpec.load(spec_path)
-        runner = cls(spec, run_dir, _fresh=False, **kwargs)
+        text = spec_path.read_text()
+        runner = cls(TrainSpec.from_json(text), run_dir, _fresh=False,
+                     **kwargs)
+        # Checkpoints carry the hash of spec.json as written, which may
+        # hold keys that from_dict drops (an older version's "threads").
+        runner._spec_sha_cached = hashlib.sha256(text.encode()).hexdigest()
         runner._restore_latest()
         return runner
 
@@ -408,7 +423,8 @@ class Runner:
 
     def _write_status(self, state: str, phase: PhasePlan | None = None,
                       epoch: int | None = None,
-                      averages=None, count: int | None = None) -> None:
+                      averages=None, count: int | None = None,
+                      reason: str | None = None) -> None:
         if self.run_dir is None:
             return
         document = {
@@ -425,6 +441,8 @@ class Runner:
                       "epoch": self.cursor.best_epoch}
                      if self.spec.eval is not None else None),
         }
+        if reason is not None:
+            document["reason"] = reason
         if averages is not None:
             document["last_losses"] = {
                 "g_total": float(averages[0]), "g_gan": float(averages[1]),
@@ -472,9 +490,19 @@ class Runner:
 
     # -- checkpoints ---------------------------------------------------------
 
+    def _require_finite_weights(self) -> None:
+        for prefix, net in (("G", self.model.generator),
+                            ("D", self.model.discriminator)):
+            for name, param in net.named_parameters():
+                if not np.isfinite(param.data).all():
+                    raise NonFiniteError(
+                        f"non-finite weight {prefix}.{name} at global "
+                        f"step {self.cursor.global_step}")
+
     def _checkpoint(self) -> Path | None:
         if self.run_dir is None:
             return None
+        self._require_finite_weights()
         started = time.perf_counter()
         directory = self._path(CHECKPOINT_DIR)
         path = directory / f"step_{self.cursor.global_step:08d}.npz"
@@ -567,6 +595,7 @@ class Runner:
                 self.cursor.best_epoch = epoch
                 record["best"] = True
                 if self.run_dir is not None and self.spec.publish:
+                    self._require_finite_weights()
                     self.model.save(self._path(EXPORT_DIR)
                                     / f"{self.spec.name}-best.npz")
                     self._reference.save(
@@ -606,12 +635,6 @@ class Runner:
 
     def _run(self, stop_after_steps: int | None,
              log_every: int | None, on_phase) -> RunResult:
-        if self.spec.threads != 1:
-            # Widen the gemm pool for the conv hot paths; any width
-            # computes bitwise the same run (see repro.nn.parallel).
-            from repro.nn import set_num_threads
-
-            set_num_threads(self.spec.threads)
         result = RunResult(status="completed", run_dir=self.run_dir,
                            global_step=self.cursor.global_step)
         if (stop_after_steps is not None
@@ -662,18 +685,24 @@ class Runner:
                 self._advance_phase()
                 if on_phase is not None:
                     on_phase(phase.name, self.model)
+            self._elapsed = self._elapsed_now()
+            # Leave the optimizers at the base rate, exactly as the
+            # trainer's fine_tune always restored it.
+            self.model.opt_g.lr = self._base_lr
+            self.model.opt_d.lr = self._base_lr
+            self._checkpoint()
         except StopTraining:
             result.status = "interrupted"
             self._elapsed = self._elapsed_now()
             self._write_status("interrupted", active, self.cursor.epoch)
             return self._finish(result, active)
+        except NonFiniteError as error:
+            self._elapsed = self._elapsed_now()
+            self._write_status("failed", active, self.cursor.epoch,
+                               reason=str(error))
+            self._finish(result, active)
+            raise
 
-        self._elapsed = self._elapsed_now()
-        # Leave the optimizers at the base rate, exactly as the
-        # trainer's fine_tune always restored it.
-        self.model.opt_g.lr = self._base_lr
-        self.model.opt_d.lr = self._base_lr
-        self._checkpoint()
         if self.spec.publish and self.run_dir is not None:
             export = self._path(EXPORT_DIR) / f"{self.spec.name}.npz"
             self.model.save(export)
@@ -713,6 +742,13 @@ class Runner:
 
         def on_step(epoch: int, step: int, losses, weight: int,
                     stats: EpochStats) -> None:
+            bad = [name for name in ("d_real", "d_fake", "g_gan", "g_l1")
+                   if not math.isfinite(getattr(losses, name))]
+            if bad:
+                raise NonFiniteError(
+                    f"non-finite {', '.join(bad)} at {phase.name} epoch "
+                    f"{epoch} step {step} (global step "
+                    f"{self.cursor.global_step + 1})")
             cursor = self.cursor
             cursor.epoch = epoch
             cursor.step = step

@@ -82,6 +82,7 @@ def read_run_status(run_dir: str | Path) -> dict:
         "name": spec.get("name"),
         "spec": spec,
         "state": status.get("state", "not started"),
+        "reason": status.get("reason"),
         "phases": status.get("phases"),
         "phase": status.get("phase"),
         "epoch": status.get("epoch"),
@@ -139,6 +140,8 @@ def format_run_status(info: dict) -> str:
     lines.append(f"  progress    {position}  "
                  f"(step {info['global_step']}"
                  + (f", epochs {budget}" if budget else "") + ")")
+    if info.get("reason"):
+        lines.append(f"  reason      {info['reason']}")
     if info.get("elapsed_seconds") is not None:
         lines.append(f"  elapsed     {info['elapsed_seconds']:.1f}s")
     timing = info.get("timing")

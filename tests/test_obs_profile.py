@@ -1,5 +1,7 @@
 """Profiler: zero-cost detach, per-layer stats, gemm accounting."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,28 @@ class TestStats:
         lines = table.splitlines()
         assert "layer" in lines[0] and "gemms" in lines[0]
         assert len(lines) == 4  # header + three active leaves
+
+    def test_profiler_attributes_threads(self, make_model):
+        """Plain threads sharing one profiler (the serve case) each get
+        their own row, and the rows sum to the merged totals."""
+        model = make_model(seed=7)
+        rng = np.random.default_rng(2)
+        inputs = [rng.normal(size=(1, 4, 16, 16)).astype(np.float32)
+                  for _ in range(2)]
+        profiler = Profiler()
+        profiler.attach(model.generator, "G")
+        try:
+            worker = threading.Thread(target=model.generator.forward_eval,
+                                      args=(inputs[0],))
+            model.generator.forward_eval(inputs[1])
+            worker.start()
+            worker.join()
+            snapshot = profiler.snapshot()
+        finally:
+            profiler.detach()
+        per_thread = [t["calls"] for t in snapshot["threads"].values()]
+        assert sum(per_thread) == snapshot["totals"]["calls"]
+        assert sum(1 for calls in per_thread if calls) >= 2
 
 
 class TestWorkspaceHighWater:

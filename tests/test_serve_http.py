@@ -278,6 +278,48 @@ class TestErrors:
         assert "Traceback" not in capsys.readouterr().err
         assert client.healthz()["status"] == "ok"
 
+    @pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"-Infinity",
+                                       b"null"])
+    def test_non_finite_input_cell_400(self, server, token):
+        """One bad cell must be refused, not forecast as all-NaN."""
+        body = json.dumps({"model": "tiny", "input": np.zeros(
+            (4, 16, 16)).tolist()}).encode().replace(b"0.0", token, 1)
+        status, reply = self._raw_post(
+            server.port, b"Content-Length: %d\r\n" % len(body), body)
+        assert status == 400
+        assert "'input'" in reply["error"]
+        assert "non-finite" in reply["error"]
+
+    def test_non_finite_image_fields_400(self, client):
+        place = np.zeros((16, 16, 3), np.float32).tolist()
+        connect = np.zeros((16, 16), np.float32).tolist()
+        payloads = {
+            "place_image": {"place_image": [[[float("nan")] * 3] * 16] * 16,
+                            "connect_image": connect},
+            "connect_image": {"place_image": place,
+                              "connect_image": [[float("inf")] * 16] * 16},
+            "connect_weight": {"place_image": place, "connect_image": connect,
+                               "connect_weight": float("nan")},
+        }
+        for field, payload in payloads.items():
+            with pytest.raises(ClientError) as excinfo:
+                client._request("/v1/forecast", dict(payload, model="tiny"))
+            assert excinfo.value.status == 400, field
+            assert f"'{field}'" in str(excinfo.value), field
+
+    def test_non_finite_forecast_500(self, make_model):
+        model = make_model(seed=5)
+        model.generator.parameters()[0].data[...] = np.nan
+        registry = ModelRegistry()
+        registry.register("broken", model)
+        engine = BatchingEngine(registry, max_batch=1)
+        with ForecastServer(engine, port=0) as running:
+            with pytest.raises(ClientError) as excinfo:
+                ForecastClient(port=running.port).forecast(
+                    "broken", x=np.zeros((4, 16, 16), np.float32))
+        assert excinfo.value.status == 500
+        assert "non-finite" in str(excinfo.value)
+
     def test_missing_input_400(self, client):
         with pytest.raises(ClientError) as excinfo:
             client._request("/v1/forecast", {"model": "tiny"})

@@ -167,6 +167,25 @@ class TestResumeGuards:
         with pytest.raises(ValueError, match="spec"):
             Runner.resume(run_dir, dataset=full_dataset)
 
+    def test_resume_run_written_with_legacy_threads_key(
+            self, tmp_path, full_dataset, monkeypatch):
+        """A run directory whose spec.json (and checkpoint spec hashes)
+        still carry the removed ``threads`` key resumes bitwise."""
+        Runner.create(stream_spec("straight"), tmp_path,
+                      dataset=full_dataset).run()
+        plain = TrainSpec.to_dict
+        with monkeypatch.context() as patch:
+            patch.setattr(TrainSpec, "to_dict",
+                          lambda spec: dict(plain(spec), threads=1))
+            Runner.create(stream_spec("legacy"), tmp_path,
+                          dataset=full_dataset).run(stop_after_steps=7)
+        assert '"threads": 1' in (tmp_path / "legacy"
+                                  / "spec.json").read_text()
+        result = Runner.resume(tmp_path / "legacy",
+                               dataset=full_dataset).run()
+        assert result.completed
+        assert_same_run(tmp_path, "straight", "legacy")
+
     def test_create_refuses_existing_run(self, tmp_path, full_dataset):
         spec = stream_spec("taken")
         Runner.create(spec, tmp_path, dataset=full_dataset)

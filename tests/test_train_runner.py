@@ -193,3 +193,54 @@ class TestDataResolution:
                           finetune=FinetuneSpec(epochs=1, pairs=99))
         with pytest.raises(ValueError, match="99 pairs"):
             Runner(spec, dataset=dataset)
+
+
+class TestNonFiniteGuard:
+    def test_nan_weight_fails_run_and_keeps_last_good_checkpoint(
+            self, dataset, tmp_path):
+        """A NaN weight mid-run makes the next step's losses NaN: the run
+        must stop with a typed error and a failed status, before that
+        step is checkpointed or exported."""
+        from repro.train import NonFiniteError
+
+        spec = basic_spec("diverged", checkpoint_every_steps=2)
+        runner = Runner.create(spec, tmp_path, dataset=dataset)
+        assert runner.run(stop_after_steps=3).status == "interrupted"
+        run_dir = tmp_path / "diverged"
+        latest = run_dir / "checkpoints" / "latest.json"
+        good = latest.read_text()
+        assert json.loads(good)["global_step"] == 3
+
+        runner.model.generator.parameters()[0].data[...] = np.nan
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            runner.run()
+
+        status = json.loads((run_dir / "status.json").read_text())
+        assert status["state"] == "failed"
+        assert "non-finite" in status["reason"]
+        assert "global step 4" in status["reason"]
+        assert latest.read_text() == good
+        assert sorted(p.name for p in (run_dir / "checkpoints").glob(
+            "step_*.npz")) == ["step_00000002.npz", "step_00000003.npz"]
+        with np.load(run_dir / "checkpoints" / "step_00000003.npz") as ckpt:
+            for key in ckpt.files:
+                if ckpt[key].dtype.kind == "f":
+                    assert np.isfinite(ckpt[key]).all(), key
+        assert not any((run_dir / "export").iterdir())
+        lines = (run_dir / "losses.jsonl").read_text().splitlines()
+        assert len(lines) == 3    # the NaN step is never logged
+
+    def test_nan_weight_is_never_checkpointed(self, dataset, tmp_path):
+        """Weights that turned non-finite after a step with finite losses
+        are refused at the checkpoint itself."""
+        from repro.train import NonFiniteError
+
+        spec = basic_spec("poisoned", checkpoint_every_steps=2)
+        runner = Runner.create(spec, tmp_path, dataset=dataset)
+        runner.run(stop_after_steps=2)
+        latest = tmp_path / "poisoned" / "checkpoints" / "latest.json"
+        good = latest.read_text()
+        runner.model.discriminator.parameters()[-1].data[0] = np.inf
+        with pytest.raises(NonFiniteError, match="non-finite weight D."):
+            runner._checkpoint()
+        assert latest.read_text() == good

@@ -49,6 +49,14 @@ class TestRoundTrip:
         assert isinstance(spec.finetune, FinetuneSpec)
         assert isinstance(spec.eval, EvalSpec)
 
+    def test_legacy_threads_key_is_dropped(self):
+        """Specs written with the removed gemm thread count still load:
+        every count computed the same bits, so dropping it is exact."""
+        document = full_spec().to_dict()
+        assert "threads" not in document
+        legacy = dict(document, threads=4)
+        assert TrainSpec.from_dict(legacy) == TrainSpec.from_dict(document)
+
 
 class TestValidation:
     def test_unknown_field_fails_loudly(self):
